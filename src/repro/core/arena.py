@@ -282,6 +282,7 @@ class NodeArena:
         self._seg_cache = None
         self._prot_slots = None
         ps._bind_arena_views(self, start)
+        ps.bump_placement_version()
 
     def release(self, ps: "PageSet") -> None:
         """Detach ``ps`` — copy its state back out to standalone arrays and
@@ -290,6 +291,7 @@ class NodeArena:
         require(entry is not None and entry.ps is ps, f"pageset {ps.owner!r} not adopted here")
         start, end = entry.start, entry.start + entry.n
         ps._unbind_arena_views()
+        ps.bump_placement_version()
         self.tier[start:end] = _FREE_TIER
         self.temperature[start:end] = 0.0
         self.access_weight[start:end] = 0.0
@@ -767,6 +769,7 @@ class NodeArena:
                 sh_chunks = int(shadowed.size)
                 sh_bytes = int(csizes[self.task_id[shadowed]].sum())
         self.tier[positions] = np.int8(int(dst))
+        self._bump_owners(positions)
         self.kernel_invocations += 1
         return bytes_per_src, sh_chunks, sh_bytes
 
@@ -782,8 +785,16 @@ class NodeArena:
         if take.size == 0:
             return take, 0
         self.in_page_cache[take] = True
+        self._bump_owners(take)
         self.kernel_invocations += 1
         return take, int(cum[take.size - 1])
+
+    def _bump_owners(self, positions: np.ndarray) -> None:
+        """Bump the placement version of every pageset owning one of
+        ``positions`` — the batch kernels write arena columns directly,
+        bypassing the per-pageset writers that normally bump it."""
+        for slot in np.unique(self.task_id[positions]).tolist():
+            self._slots[slot].ps.bump_placement_version()
 
     # ------------------------------------------------------------------ #
     # kernel: tier reductions

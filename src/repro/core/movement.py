@@ -29,6 +29,7 @@ from ..memory.pageset import DEFAULT_CHUNK_SIZE
 from ..obs import insight as _insight
 from ..memory.tiers import CXL, DRAM, PMEM, SWAP
 from ..policies.base import PolicyContext
+from ..resilience import invariants as inv
 from ..util.validation import check_fraction, check_positive, require
 from .flags import MemFlag
 from .replacement import PageReplacementPolicy, is_protected
@@ -130,6 +131,16 @@ class IntelligentPageMovement:
     def _hot_candidates(ps, tier, max_chunks: int, min_temperature: float) -> np.ndarray:
         if ps.arena is not None:
             return ps.arena.hot_chunks(ps, tier, max_chunks, min_temperature=min_temperature)
+        # most scans hit a tier the pageset has no chunks in; the memoised
+        # per-tier counts answer that without touching the chunk arrays
+        counts = ps.cached_counts_by_tier()
+        checker = inv.active()
+        if checker.enabled:
+            checker.cached_summary(
+                ps.owner, "tier counts", counts.tolist(), ps.counts_by_tier().tolist()
+            )
+        if not counts[int(tier)]:
+            return np.empty(0, dtype=np.intp)
         hot = ps.hottest_in(tier, max_chunks)
         return hot[ps.temperature[hot] >= min_temperature]
 

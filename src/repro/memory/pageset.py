@@ -56,6 +56,10 @@ def _stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
 #: per-chunk array fields mirrored into the arena backend, in layout order
 ARRAY_FIELDS = ("tier", "temperature", "access_weight", "pinned", "in_page_cache", "region")
 
+#: the fields a placement summary (access profile, per-tier counts) reads;
+#: rebinding one bumps :attr:`PageSet.placement_version`
+PLACEMENT_FIELDS = frozenset(("tier", "access_weight", "in_page_cache"))
+
 
 def _array_field(name: str) -> property:
     """A per-chunk array attribute that *writes through* when the pageset
@@ -66,9 +70,11 @@ def _array_field(name: str) -> property:
     copies element-wise into that view — so code that replaces whole
     arrays (``ps.temperature = ...`` in tests and benchmarks,
     ``set_access_weights`` each phase) can never silently detach the view
-    from the node-level kernels.
+    from the node-level kernels.  Assigning a placement field bumps the
+    pageset's placement version.
     """
     priv = "_" + name
+    bumps = name in PLACEMENT_FIELDS
 
     def getter(self: "PageSet") -> np.ndarray:
         return getattr(self, priv)
@@ -80,6 +86,8 @@ def _array_field(name: str) -> property:
                 cur[:] = value
         else:
             setattr(self, priv, value)
+        if bumps:
+            self.placement_version += 1
 
     return property(getter, setter, doc=f"``{name}`` per-chunk array (see class docstring)")
 
@@ -112,6 +120,13 @@ class PageSet:
     :class:`~repro.core.arena.NodeArena`; every method works identically
     on views, and whole-array assignment writes through (see
     :func:`_array_field`).
+
+    ``placement_version`` is bumped by every writer of ``tier``,
+    ``access_weight`` or ``in_page_cache`` (never by ``temperature``,
+    ``pinned`` or ``region`` writes), so summaries derived from those
+    three fields can be memoised under it.  Element writes
+    (``ps.tier[i] = ...``) are invisible to the pageset: code that makes
+    them must call :meth:`bump_placement_version` itself.
     """
 
     __slots__ = (
@@ -127,6 +142,8 @@ class PageSet:
         "region_flags",
         "_arena",
         "_arena_start",
+        "placement_version",
+        "_counts_cache",
     )
 
     tier = _array_field("tier")
@@ -141,6 +158,8 @@ class PageSet:
         check_positive(chunk_size, "chunk_size")
         self._arena = None
         self._arena_start = 0
+        self.placement_version = 0
+        self._counts_cache: Optional[tuple[int, np.ndarray]] = None
         self.owner = owner
         self.chunk_size = int(chunk_size)
         self.n_chunks = int(-(-int(total_bytes) // self.chunk_size))  # ceil div
@@ -212,8 +231,24 @@ class PageSet:
         mapped = self.tier[self.tier != UNMAPPED]
         return np.bincount(mapped.astype(np.int64), minlength=NUM_TIERS)
 
+    def cached_counts_by_tier(self) -> np.ndarray:
+        """:meth:`counts_by_tier` memoised under :attr:`placement_version`.
+        The returned array is shared and read-only."""
+        cache = self._counts_cache
+        if cache is None or cache[0] != self.placement_version:
+            counts = self.counts_by_tier()
+            counts.setflags(write=False)
+            cache = self._counts_cache = (self.placement_version, counts)
+        return cache[1]
+
     def bytes_by_tier(self) -> np.ndarray:
         return self.counts_by_tier() * self.chunk_size
+
+    def bump_placement_version(self) -> None:
+        """Invalidate summaries memoised under :attr:`placement_version`;
+        every element write to ``tier``, ``access_weight`` or
+        ``in_page_cache`` outside this class must be followed by a call."""
+        self.placement_version += 1
 
     # ------------------------------------------------------------------ #
     # placement mutation (accounting is the NodeMemorySystem's job; these
@@ -222,6 +257,7 @@ class PageSet:
     def assign(self, idx: np.ndarray, tier: TierKind) -> None:
         """Back chunks ``idx`` with ``tier`` (placement or migration)."""
         self.tier[idx] = int(tier)
+        self.placement_version += 1
 
     def unmap(self, idx: Optional[np.ndarray] = None) -> None:
         """Release chunks (all of them when ``idx`` is None)."""
@@ -233,6 +269,7 @@ class PageSet:
             self.tier[idx] = UNMAPPED
             self.in_page_cache[idx] = False
             self.pinned[idx] = False
+        self.placement_version += 1
 
     # ------------------------------------------------------------------ #
     # victim / candidate selection

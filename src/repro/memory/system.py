@@ -390,6 +390,7 @@ class NodeMemorySystem:
         if take.size == 0:
             return 0
         ps.in_page_cache[take] = True
+        ps.bump_placement_version()
         self._page_cache_used += int(take.size) * ps.chunk_size
         self.stats.page_cache_inserts += int(take.size)
         ins = _insight.active()
@@ -432,6 +433,7 @@ class NodeMemorySystem:
         shadowed = idx[ps.in_page_cache[idx]]
         if shadowed.size:
             ps.in_page_cache[shadowed] = False
+            ps.bump_placement_version()
             self._page_cache_used -= int(shadowed.size) * ps.chunk_size
             self.stats.page_cache_drops += int(shadowed.size)
             ins = _insight.active()

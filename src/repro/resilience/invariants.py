@@ -10,7 +10,10 @@ never break:
   running, awaiting a requeue, or terminal; the scheduler's queue holds
   only pending jobs and holds each at most once,
 * **the event heap is consistent** — the engine's O(1) live counter
-  always matches a recount of the heap.
+  always matches a recount of the heap,
+* **placement caches are coherent** — a summary memoised under a
+  pageset's placement version (access profile, per-tier chunk counts)
+  equals a fresh recomputation exactly.
 
 Checks are wired through the same null-object dispatch trick as
 :mod:`repro.obs`: every call site asks the *active* checker, which is a
@@ -75,6 +78,9 @@ class NullInvariantChecker:
     def metrics(self, metrics: Any) -> None:
         pass
 
+    def cached_summary(self, owner: str, what: str, cached: Any, fresh: Any) -> None:
+        pass
+
 
 NULL_CHECKER = NullInvariantChecker()
 
@@ -93,6 +99,8 @@ class InvariantChecker(NullInvariantChecker):
         self.strict = strict
         self.violations: List[str] = []
         self.checks = 0
+        #: how many of :attr:`checks` compared a memoised placement summary
+        self.cache_checks = 0
 
     # ------------------------------------------------------------------ #
     def _fail(self, message: str) -> None:
@@ -190,6 +198,19 @@ class InvariantChecker(NullInvariantChecker):
                 self._fail(f"failed task {tm.owner} has no finish time")
             if tm.failed and not tm.failure_reason:
                 self._fail(f"failed task {tm.owner} carries no failure reason")
+
+    # ------------------------------------------------------------------ #
+    # placement-cache coherence
+    # ------------------------------------------------------------------ #
+    def cached_summary(self, owner: str, what: str, cached: Any, fresh: Any) -> None:
+        """A summary memoised under ``owner``'s placement version must equal
+        ``fresh``, its recomputation from the live arrays, exactly.  A
+        mismatch means some writer of ``tier`` / ``access_weight`` /
+        ``in_page_cache`` skipped the version bump."""
+        self.checks += 1
+        self.cache_checks += 1
+        if cached != fresh:
+            self._fail(f"stale {what} for {owner}: cached {cached}, fresh {fresh}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

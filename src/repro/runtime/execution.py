@@ -21,12 +21,13 @@ from ..core.flags import MemFlag
 from ..memory.pageset import PageSet
 from ..memory.tiers import CXL, SWAP
 from ..metrics.collector import TaskMetrics
+from ..resilience import invariants as inv
 from ..sim.events import Event
 from ..sim.process import RateTracker
 from ..util.errors import AllocationError
 from ..util.validation import require
 from ..workflows.task import TaskSpec
-from .rates import tier_demand
+from .rates import profile_row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .node_agent import NodeAgent
@@ -86,6 +87,8 @@ class TaskExecution:
         self.interrupted = False
         #: straggler throttle installed by the fault injector (1.0 = healthy)
         self.rate_scale = 1.0
+        #: (placement version, access-profile row) memo for access_profile()
+        self._profile: Optional[tuple[int, tuple[float, ...]]] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -306,11 +309,19 @@ class TaskExecution:
     def phase(self):
         return self.spec.phases[self.phase_index]
 
-    def demand_vector(self) -> np.ndarray:
-        """Current per-tier bandwidth demand (bytes/s)."""
-        if self.state is not TaskState.RUNNING:
-            return np.zeros(4)
-        return tier_demand(self.pageset, self.phase.demand_bandwidth)
+    def access_profile(self) -> tuple[float, ...]:
+        """The pageset's access-profile row (see
+        :func:`~repro.runtime.rates.profile_row`), recomputed only when the
+        pageset's placement version moved since the last call."""
+        ps = self.pageset
+        memo = self._profile
+        if memo is None or memo[0] != ps.placement_version:
+            memo = self._profile = (ps.placement_version, profile_row(ps))
+        else:
+            checker = inv.active()
+            if checker.enabled:
+                checker.cached_summary(ps.owner, "access profile", memo[1], profile_row(ps))
+        return memo[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -26,7 +26,10 @@ from ..sim.process import PeriodicProcess, TickGroup
 from ..util.validation import check_positive, require
 from ..workflows.task import TaskSpec
 from .execution import TaskExecution, TaskState
-from .rates import RateModelConfig, phase_slowdown
+from .rates import RateModelConfig, demand_matrix, phase_row, slowdown_vector
+# not called here any more, but perfbench's tracer tests use this module's
+# by-name binding as their example of an imported function wrapped in place
+from .rates import phase_slowdown  # noqa: F401
 
 __all__ = ["NodeAgent"]
 
@@ -247,15 +250,19 @@ class NodeAgent:
     # rate model
     # ------------------------------------------------------------------ #
     def recompute_rates(self) -> None:
+        """Refresh every running task's rate in one vector pass: memoised
+        access profiles -> demand matrix -> bandwidth contention ->
+        slowdown vector."""
         tasks = [te for te in self.running.values() if te.state is TaskState.RUNNING]
         if not tasks:
             self.memory.migration_bytes_window = 0
             return
-        demands = np.stack([te.demand_vector() for te in tasks])
+        profiles = np.array([te.access_profile() for te in tasks], dtype=np.float64)
+        phases = np.array([phase_row(te.phase) for te in tasks], dtype=np.float64)
+        demands = demand_matrix(profiles, phases[:, 3])
         # offline tiers deliver no bandwidth; degraded links a fraction
         capacities = self._bw_capacities * self.memory.tier_health()
         achieved = allocate_bandwidth(capacities, demands)
-        per_task_bw = achieved.sum(axis=1)
         penalty = self._migration_penalty()
         utilization = None
         if self.rate_config.loaded_latency:
@@ -263,17 +270,17 @@ class NodeAgent:
                 utilization = np.where(
                     capacities > 0, achieved.sum(axis=0) / capacities, 0.0
                 )
-        for te, bw in zip(tasks, per_task_bw):
-            slowdown = phase_slowdown(
-                te.phase,
-                te.pageset,
-                self.memory.specs,
-                float(bw),
-                migration_penalty=penalty,
-                config=self.rate_config,
-                tier_bw_utilization=utilization,
-            )
-            te.update_rate(1.0 / slowdown)
+        slowdown = slowdown_vector(
+            profiles,
+            phases,
+            achieved.sum(axis=1),
+            self.memory.specs,
+            migration_penalty=penalty,
+            config=self.rate_config,
+            tier_bw_utilization=utilization,
+        )
+        for te, rate in zip(tasks, (1.0 / slowdown).tolist()):
+            te.update_rate(rate)
 
     def _migration_penalty(self) -> float:
         """Charge recent daemon data movement against task progress."""

@@ -12,8 +12,10 @@ three placement-dependent terms using the phase's sensitivity mix:
 * a **migration overhead** term charges for daemon data movement
   (the ≈4 % runtime overhead reported in §IV-D4).
 
-All functions are pure and vectorised; the node agent calls them on every
-contention or placement change.
+All functions are pure.  The node agent evaluates every running task in
+one vector pass (:func:`demand_matrix`, :func:`slowdown_vector`) over
+access profiles it memoises per placement version; :func:`tier_demand`
+and :func:`phase_slowdown` are the same kernels applied to one pageset.
 """
 
 from __future__ import annotations
@@ -30,11 +32,16 @@ from ..util.validation import check_non_negative, check_positive
 from ..workflows.task import TaskPhase
 
 __all__ = [
+    "PROFILE_WIDTH",
     "RateModelConfig",
+    "demand_matrix",
+    "loaded_latency_factor",
+    "phase_row",
+    "phase_slowdown",
+    "profile_row",
+    "slowdown_vector",
     "tier_access_profile",
     "tier_demand",
-    "phase_slowdown",
-    "loaded_latency_factor",
 ]
 
 
@@ -103,14 +110,99 @@ def tier_access_profile(ps: PageSet) -> tuple[np.ndarray, float]:
     return out, shadow_weight
 
 
-def tier_demand(ps: PageSet, demand_bandwidth: float) -> np.ndarray:
-    """Per-tier throughput demand (bytes/s) for the bandwidth-contention
-    matrix.  Shadowed accesses demand DRAM (the copy they read is there)."""
-    check_non_negative(demand_bandwidth, "demand_bandwidth")
+#: width of one access-profile row: ``NUM_TIERS`` direct weights, then
+#: the page-cache shadow weight (see :func:`tier_access_profile`)
+PROFILE_WIDTH = NUM_TIERS + 1
+
+
+def profile_row(ps: PageSet) -> tuple[float, ...]:
+    """:func:`tier_access_profile` as one ``PROFILE_WIDTH`` row."""
     weights, shadow_weight = tier_access_profile(ps)
-    demand = weights * demand_bandwidth
-    demand[int(DRAM)] += shadow_weight * demand_bandwidth
+    return (*weights.tolist(), shadow_weight)
+
+
+def phase_row(phase: TaskPhase) -> tuple[float, float, float, float]:
+    """The four phase parameters the rate kernels read, in column order
+    ``(compute_frac, lat_frac, bw_frac, demand_bandwidth)``."""
+    return phase.compute_frac, phase.lat_frac, phase.bw_frac, phase.demand_bandwidth
+
+
+def demand_matrix(profiles: np.ndarray, demand_bandwidth: np.ndarray) -> np.ndarray:
+    """Per-tier throughput demand (bytes/s), one row per task.
+
+    ``profiles`` is ``(n, PROFILE_WIDTH)`` access-profile rows and
+    ``demand_bandwidth`` the ``(n,)`` phase demands.  Shadowed accesses
+    demand DRAM (the copy they read is there).
+    """
+    demand = profiles[:, :NUM_TIERS] * demand_bandwidth[:, None]
+    demand[:, int(DRAM)] += profiles[:, NUM_TIERS] * demand_bandwidth
     return demand
+
+
+def slowdown_vector(
+    profiles: np.ndarray,
+    phases: np.ndarray,
+    achieved_bandwidth: np.ndarray,
+    specs: Mapping[TierKind, TierSpec],
+    *,
+    migration_penalty: float = 0.0,
+    config: RateModelConfig = RateModelConfig(),
+    tier_bw_utilization: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """Instantaneous slowdown of ``n`` phases under their placements.
+
+    ``profiles`` is ``(n, PROFILE_WIDTH)`` access-profile rows, ``phases``
+    ``(n, 4)`` :func:`phase_row` rows and ``achieved_bandwidth`` each
+    task's summed fair-share throughput across tiers (from
+    :func:`repro.memory.contention.allocate_bandwidth`).  With
+    ``config.loaded_latency`` set, ``tier_bw_utilization`` (the node-wide
+    per-tier bandwidth utilisation) inflates each tier's effective latency
+    along the loaded-latency curve.  Every entry is >= its phase's
+    ``compute_frac`` (never faster than pure compute), clamped at
+    ``config.max_slowdown``.
+
+    Each expression applies the same IEEE operations in the same order as
+    the per-task scalar formulation, and the ``np.where`` selections
+    reproduce Python's ``max``/``min`` tie and NaN behaviour, so every
+    element is bit-identical to it (see ``docs/rate-model.md``).
+    """
+    lat_tiers = [specs[t].latency for t in (TierKind.DRAM, TierKind.PMEM, TierKind.CXL)]
+    if config.loaded_latency and tier_bw_utilization is not None:
+        lat_tiers = [
+            base * loaded_latency_factor(
+                float(tier_bw_utilization[t]), config.loaded_latency_max_factor
+            )
+            for t, base in enumerate(lat_tiers)
+        ]
+    lat = profiles[:, NUM_TIERS] * config.shadow_access_latency
+    for t, base in enumerate(lat_tiers):
+        lat += profiles[:, t] * base
+    lat += profiles[:, int(SWAP)] * config.swap_access_latency
+    lat_mult = lat / specs[DRAM].latency
+    # idle / not yet weighted: treat as DRAM-resident
+    idle = profiles[:, :NUM_TIERS].sum(axis=1) + profiles[:, NUM_TIERS] <= 0
+    lat_mult[idle] = 1.0
+    compute, lat_frac, bw_frac, demand = phases.T
+    floor = np.where(1e-9 > achieved_bandwidth, 1e-9, achieved_bandwidth)
+    bw_mult = demand / floor
+    bw_mult = np.where(bw_mult > 1.0, bw_mult, 1.0)
+    bw_mult[~((demand > 0) & (bw_frac > 0))] = 1.0
+    slowdown = (
+        compute
+        + lat_frac * lat_mult
+        + bw_frac * bw_mult
+        + min(config.migration_overhead_cap, max(0.0, migration_penalty))
+    )
+    slowdown = np.where(compute > slowdown, compute, slowdown)
+    return np.where(config.max_slowdown < slowdown, config.max_slowdown, slowdown)
+
+
+def tier_demand(ps: PageSet, demand_bandwidth: float) -> np.ndarray:
+    """Per-tier throughput demand (bytes/s) of one pageset for the
+    bandwidth-contention matrix — a one-row :func:`demand_matrix`."""
+    check_non_negative(demand_bandwidth, "demand_bandwidth")
+    bw = np.array([demand_bandwidth], dtype=np.float64)
+    return demand_matrix(np.array([profile_row(ps)]), bw)[0]
 
 
 def phase_slowdown(
@@ -123,43 +215,15 @@ def phase_slowdown(
     config: RateModelConfig = RateModelConfig(),
     tier_bw_utilization: "np.ndarray | None" = None,
 ) -> float:
-    """Instantaneous slowdown of ``phase`` under the current placement.
-
-    ``achieved_bandwidth`` is the task's summed fair-share throughput
-    across tiers (from :func:`repro.memory.contention.allocate_bandwidth`).
-    With ``config.loaded_latency`` set, ``tier_bw_utilization`` (the
-    node-wide per-tier bandwidth utilisation) inflates each tier's
-    effective latency along the loaded-latency curve.  Returns a value
-    >= ``compute_frac`` (never faster than pure compute), clamped at
-    ``config.max_slowdown``.
-    """
-    weights, shadow_weight = tier_access_profile(ps)
-    dram_lat = specs[DRAM].latency
-    if weights.sum() + shadow_weight <= 0:
-        lat_mult = 1.0  # idle / not yet weighted: treat as DRAM-resident
-    else:
-        def eff_latency(t: TierKind) -> float:
-            base = specs[t].latency
-            if config.loaded_latency and tier_bw_utilization is not None:
-                base *= loaded_latency_factor(
-                    float(tier_bw_utilization[int(t)]), config.loaded_latency_max_factor
-                )
-            return base
-
-        lat = shadow_weight * config.shadow_access_latency
-        for t in (TierKind.DRAM, TierKind.PMEM, TierKind.CXL):
-            lat += weights[int(t)] * eff_latency(t)
-        lat += weights[int(SWAP)] * config.swap_access_latency
-        lat_mult = lat / dram_lat
-    if phase.demand_bandwidth > 0 and phase.bw_frac > 0:
-        bw_mult = phase.demand_bandwidth / max(achieved_bandwidth, 1e-9)
-        bw_mult = max(1.0, bw_mult)
-    else:
-        bw_mult = 1.0
-    slowdown = (
-        phase.compute_frac
-        + phase.lat_frac * lat_mult
-        + phase.bw_frac * bw_mult
-        + min(config.migration_overhead_cap, max(0.0, migration_penalty))
+    """Instantaneous slowdown of ``phase`` under ``ps``'s placement — a
+    one-row :func:`slowdown_vector` (see there for the arguments)."""
+    out = slowdown_vector(
+        np.array([profile_row(ps)]),
+        np.array([phase_row(phase)], dtype=np.float64),
+        np.array([achieved_bandwidth], dtype=np.float64),
+        specs,
+        migration_penalty=migration_penalty,
+        config=config,
+        tier_bw_utilization=tier_bw_utilization,
     )
-    return float(min(max(slowdown, phase.compute_frac), config.max_slowdown))
+    return float(out[0])
