@@ -5,9 +5,8 @@ rate recomputation per placement change; these measure both at realistic
 pageset sizes (a 512 GiB node at 4 MiB chunks ≈ 128k DRAM chunks).
 
 The tick benchmarks are parametrized over both simulation-core backends
-(see ``conftest.backend``); each records cells/sec in ``extra_info`` so
-the ``[arena]`` / ``[object]`` ratio is directly the arena speedup that
-the CI bench gate tracks.
+(see ``conftest.backend``); each records cells/sec in ``extra_info``,
+which the CI bench gate tracks per leg.
 """
 
 import numpy as np
@@ -119,11 +118,10 @@ def test_heatmap_advance_cost(benchmark, backend, record_throughput):
     """The whole-node heatmap pass — fused temperature decay + access gain
     over every resident chunk — at a dense colocation of 128 x 2 GiB
     tasks (256 GiB of metadata, 64k cells).  This is the per-cell hot
-    loop of every cluster run and the headline arena win: the object
-    backend pays ~3 numpy dispatches *per task* per tick, the arena one
-    fused sweep per *node*, so the [arena]/[object] cells/sec ratio
-    grows with density (~5x at 64 tasks/node, ~10x at 128, ~17x at 256
-    measured best-of on an idle machine)."""
+    loop of every cluster run: the arena runs one fused sweep per
+    *node*, where a per-pageset loop paid ~3 numpy dispatches *per task*
+    per tick (~10x slower at 128 tasks/node, best-of on an idle
+    machine, when both cores existed)."""
     node, ctx, policy = big_node(n_tasks=128, task_bytes=GiB(2), backend=backend)
     heatmap = PageHeatmap()
     rates = {ps.owner: 1.0 for ps in node.pagesets()}
@@ -136,13 +134,11 @@ def test_heatmap_advance_cost(benchmark, backend, record_throughput):
 def test_daemon_pass_cost(benchmark, backend, record_throughput):
     """The full per-node daemon pass — heatmap advance + IMME tick — over
     32 resident tasks (a dense colocation; same 256 GiB of metadata as
-    the tick benches).  The recorded ratio (~3x) mixes migration-heavy
-    early rounds with the steady state, where the arena settles at
-    ~1.6x: the advance kernel's win is diluted by the movement daemon's
-    per-task control flow, which object and arena execute identically
-    to keep decisions bit-identical.  The arena-fast leg batches that
-    daemon loop too — bench_movement_daemon.py isolates the steady
-    state where that pays off (see docs/performance.md)."""
+    the tick benches).  It mixes migration-heavy early rounds with the
+    steady state; the exact core keeps the movement daemon's per-task
+    control flow to keep decisions bit-identical.  The arena-fast leg
+    batches that daemon loop too — bench_movement_daemon.py isolates
+    the steady state where that pays off (see docs/performance.md)."""
     node, ctx, policy = big_node(n_tasks=32, task_bytes=GiB(8), backend=backend)
     heatmap = PageHeatmap()
     rates = {ps.owner: 1.0 for ps in node.pagesets()}

@@ -37,8 +37,9 @@ def test_engine_event_throughput(benchmark):
 @pytest.mark.parametrize("instances", [200])
 def test_paper_scale_mix(benchmark, backend, instances):
     """A Fig-10-class run: ``instances`` tasks in the paper's mix on 8
-    IMME nodes, under each simulation-core backend (results are identical;
-    the wall-clock difference is the arena's end-to-end win).  The
+    IMME nodes, under each simulation-core backend (arena-fast results are
+    statistically equivalent; the wall-clock difference is its end-to-end
+    win).  The
     assertion is completeness; the benchmark value is the simulator's
     wall-clock cost at scale."""
 

@@ -6,14 +6,11 @@ shape (who wins, roughly by how much).  Runs are deterministic, so a
 single round measures the harness cost without statistical noise.
 
 Simulation-core benchmarks are parametrized over the backends (the
-``backend`` fixture): the object core and the struct-of-arrays arena
-core produce identical results, so those two legs of each benchmark
-measure the same work and their cells/sec ratio is the arena speedup.
-The ``arena-fast`` leg runs the relaxed batched movement kernels —
-statistically equivalent work, not byte-identical, so its ratio over
-``[object]`` is the headline batched-daemon speedup rather than a
-same-trace comparison.  ``--backend object|arena|arena-fast`` pins one
-leg (the others are skipped).
+``backend`` fixture): ``[arena]`` is the exact core, and ``[arena-fast]``
+runs the relaxed batched movement kernels — statistically equivalent
+work, not byte-identical, so its ratio over ``[arena]`` is the
+batched-daemon speedup rather than a same-trace comparison.
+``--backend arena|arena-fast`` pins one leg (the other is skipped).
 """
 
 import pytest
@@ -27,12 +24,12 @@ def pytest_addoption(parser):
         "--backend",
         action="store",
         default=None,
-        choices=("object", "arena", "arena-fast"),
+        choices=("arena", "arena-fast"),
         help="pin the simulation-core backend (default: run every leg)",
     )
 
 
-@pytest.fixture(params=["object", "arena", "arena-fast"])
+@pytest.fixture(params=["arena", "arena-fast"])
 def backend(request, monkeypatch):
     """Parametrize a benchmark over the simulation-core backends.
 

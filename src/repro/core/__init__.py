@@ -22,7 +22,6 @@ _EXPORTS = {
     "RegionHandle": ".api",
     "TieredMemoryClient": ".api",
     "BACKEND_ARENA": ".arena",
-    "BACKEND_OBJECT": ".arena",
     "NodeArena": ".arena",
     "resolve_backend": ".arena",
     "MemFlag": ".flags",
@@ -70,7 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
     from .api import RegionHandle, TieredMemoryClient  # noqa: F401
     from .arena import (  # noqa: F401
         BACKEND_ARENA,
-        BACKEND_OBJECT,
         NodeArena,
         resolve_backend,
     )

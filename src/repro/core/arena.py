@@ -1,11 +1,8 @@
-"""Node-level struct-of-arrays arena backend (``REPRO_CORE=arena``).
+"""Node-level struct-of-arrays arena: the simulation core.
 
-The object backend keeps one set of per-chunk arrays *per task*
-(:class:`~repro.memory.pageset.PageSet`), so every daemon tick pays one
-Python dispatch per task per primitive — the cost that dominates
-``bench_policy_micro`` and caps the ROADMAP's "millions of simulated
-tasks" goal.  :class:`NodeArena` packs every resident task's chunks into
-one contiguous arena of parallel numpy arrays::
+Every :class:`~repro.memory.system.NodeMemorySystem` packs the per-chunk
+state of every resident task into one contiguous arena of parallel numpy
+arrays::
 
     slot:         0 ......... hi ............. capacity
     tier          ├─ task A ─┤├─ task B ─┤ ... │ (free: UNMAPPED)
@@ -15,26 +12,24 @@ one contiguous arena of parallel numpy arrays::
     task_id       per-slot compact task handle  │ -1
     rank          (registration_seq << 32) | local_index
 
-and rewrites the hot path as whole-node kernels: one fused
+and runs the hot path as whole-node kernels: one fused
 decay+classification pass (:meth:`advance`), cross-task victim and
 promotion selection via masked ``argpartition`` (:meth:`select_victims`,
 :meth:`global_coldest`), and vectorised tier/weight reductions
-(:meth:`counts_by_tier`, :meth:`evictable_bytes`).
+(:meth:`counts_by_task_tier`, :meth:`evictable_bytes`).
 
 Adopted :class:`PageSet` objects keep their full API: their arrays are
 rebound to *views* of arena slices, so ``policies/``, ``core/manager``,
-``core/movement`` and the fault-evacuation paths work unchanged.  Every
-kernel reproduces the object backend's selection order bit-for-bit —
-identical float32 arithmetic, identical tie-breaks ((protected,
-temperature, registration order, chunk index)), identical RNG draws — so
-scenario digests are byte-identical across backends (tested in
-``tests/test_arena.py``).
+``core/movement`` and the fault-evacuation paths index them per task.
+Selection order is defined by the tie-break (protected, temperature,
+registration order, chunk index) and the Linux scan's single
+``rng.choice`` draw; ``tests/test_arena.py`` pins each kernel against a
+per-pageset reference loop and whole runs against recorded fingerprints.
 
 Backend selection: :func:`resolve_backend` reads the ``REPRO_CORE``
-environment variable (``object`` | ``arena`` | ``arena-fast``).  The
-switch deliberately lives *outside*
-:class:`~repro.scenarios.spec.ScenarioSpec`: digests hash every spec
-field, and the whole point is that every backend produces the same
+environment variable (``arena`` | ``arena-fast``).  The switch
+deliberately lives *outside* :class:`~repro.scenarios.spec.ScenarioSpec`:
+digests hash every spec field, and both backends must produce the same
 digest for the same scenario.
 
 ``arena-fast`` relaxes the bit-exact contract: the movement daemon and
@@ -43,7 +38,7 @@ replacement paths run as whole-node batched kernels (:meth:`hot_by_tier`
 :meth:`shadow_batch` commits) that select candidates for *all* tasks
 from one pre-pass snapshot per tier instead of re-reading node state
 after every pageset.  Results are statistically equivalent to the exact
-backends (tolerance bands pinned in ``tests/test_arena_fast.py``), not
+core (tolerance bands pinned in ``tests/test_arena_fast.py``), not
 byte-identical — see ``docs/performance.md``.
 """
 
@@ -64,13 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["NodeArena", "BACKENDS", "EXACT_BACKENDS", "resolve_backend"]
 
-BACKEND_OBJECT = "object"
 BACKEND_ARENA = "arena"
 BACKEND_ARENA_FAST = "arena-fast"
-BACKENDS = (BACKEND_OBJECT, BACKEND_ARENA, BACKEND_ARENA_FAST)
+BACKENDS = (BACKEND_ARENA, BACKEND_ARENA_FAST)
 #: the backends that promise byte-identical traces (arena-fast promises
 #: statistical equivalence only — see tests/test_arena_fast.py)
-EXACT_BACKENDS = (BACKEND_OBJECT, BACKEND_ARENA)
+EXACT_BACKENDS = (BACKEND_ARENA,)
 
 #: env var naming the backend every new NodeMemorySystem uses by default
 ENV_VAR = "REPRO_CORE"
@@ -90,9 +84,9 @@ _FREE_TASK = -1
 
 def resolve_backend(explicit: Optional[str] = None) -> str:
     """The core backend to use: ``explicit`` when given, else ``$REPRO_CORE``,
-    else the object backend."""
-    name = explicit if explicit is not None else os.environ.get(ENV_VAR, BACKEND_OBJECT)
-    name = str(name).strip().lower() or BACKEND_OBJECT
+    else the exact arena core."""
+    name = explicit if explicit is not None else os.environ.get(ENV_VAR, BACKEND_ARENA)
+    name = str(name).strip().lower() or BACKEND_ARENA
     require(name in BACKENDS, f"unknown core backend {name!r} (expected one of {BACKENDS})")
     return name
 
@@ -120,9 +114,9 @@ def _top_k_by_temp_rank(
 
     Equivalent to ``cand[np.lexsort((rank[cand], temp[cand]))][:k]`` but
     O(n + k log k): partition on temperature, then break boundary ties by
-    rank — exactly the object backend's global ``sort(key=(protected,
-    temperature, registration order, index))`` within one protection
-    class, because ``rank`` encodes (registration seq, local index).
+    rank — exactly a global ``sort(key=(protected, temperature,
+    registration order, index))`` within one protection class, because
+    ``rank`` encodes (registration seq, local index).
     """
     if k <= 0 or cand.size == 0:
         return cand[:0]
@@ -254,7 +248,7 @@ class NodeArena:
         """Move ``ps``'s per-chunk state into the arena and rebind its
         arrays to views of the allocated segment."""
         require(ps.owner not in self._tasks, f"pageset {ps.owner!r} already adopted")
-        require(ps.arena is None, f"pageset {ps.owner!r} is adopted by another arena")
+        require(ps.arena_start < 0, f"pageset {ps.owner!r} is adopted by another arena")
         n = ps.n_chunks
         start = self._alloc(n)
         end = start + n
@@ -273,7 +267,7 @@ class NodeArena:
         entry = _TaskEntry(ps.owner, ps, start, n, ps.chunk_size, slot, self._seq)
         self.task_id[start:end] = slot
         # rank = (registration seq, local index) packed into one int64 so a
-        # single lexsort key reproduces the object backend's tie-break
+        # single lexsort key carries the registration-order tie-break
         self.rank[start:end] = (np.int64(self._seq) << np.int64(32)) + np.arange(
             n, dtype=np.int64
         )
@@ -388,21 +382,17 @@ class NodeArena:
     def advance(self, dt: float, decay: float, rates: Optional[dict[str, float]]) -> int:
         """One whole-node heatmap pass: decay every resident temperature and
         add each running task's ``access_weight * rate * dt`` gain, in one
-        fused float32 sweep.  Returns the number of cells touched.
+        fused float32 sweep.  Returns the number of cells touched, which
+        telemetry receives as one ``arena.cells_advanced`` counter per tick.
 
-        Bit-identical to the per-pageset path: the same f32 decay factor
-        multiplies every element, and a per-slot f32 rate·dt array makes
-        the gain term elementwise-identical to the per-task scalar
-        broadcast (idle slices gain 0, and x+0.0f == x for the
-        non-negative temperatures the heatmap maintains).
+        The same f32 decay factor multiplies every element, and a per-slot
+        f32 rate·dt array makes the gain term elementwise-identical to a
+        per-task scalar broadcast (idle slices gain 0, and x+0.0f == x for
+        the non-negative temperatures the heatmap maintains).
         """
-        if not obs.enabled():
-            return self._advance_kernel(dt, decay, rates)
-        # telemetry-on path: per-node kernel time as a span, cells as a
-        # counter — one emission pair per daemon tick, never per cell
-        with obs.span("arena.advance", node=self.node_id):
-            n = self._advance_kernel(dt, decay, rates)
-        obs.counter("arena.cells_advanced", n, node=self.node_id)
+        n = self._advance_kernel(dt, decay, rates)
+        if obs.enabled():
+            obs.counter("arena.cells_advanced", n, node=self.node_id)
         return n
 
     def _advance_kernel(
@@ -421,8 +411,7 @@ class NodeArena:
         if any(r > 0.0 for r in per_task):
             # one f32 value per task (clamped: non-running tasks gain 0)
             # plus a trailing 0 that free runs (seg_owner == -1) pick up,
-            # expanded over the segment map in a single repeat — identical
-            # values to the per-task scalar assignments this replaces
+            # expanded over the segment map in a single repeat
             vals = np.asarray(per_task, dtype=np.float64) * dt
             vals[vals < 0.0] = 0.0
             gain = np.append(vals, 0.0).astype(np.float32)
@@ -518,12 +507,12 @@ class NodeArena:
         workflows first — the arena form of
         :meth:`~repro.core.replacement.PageReplacementPolicy.select_victims`.
 
-        One masked pass over the arena replaces the object backend's
-        per-task ``coldest_in`` calls plus the Python merge loop; the
-        two-level (protected, temperature, registration, index) order is
-        reproduced by selecting per protection class with
-        :func:`_top_k_by_temp_rank`.  Returns ``(pageset, local_indices)``
-        in first-appearance order with chunks in selection order.
+        One masked pass over the arena stands in for per-task
+        ``coldest_in`` calls plus a Python merge; the two-level
+        (protected, temperature, registration, index) order comes from
+        selecting per protection class with :func:`_top_k_by_temp_rank`.
+        Returns ``(pageset, local_indices)`` in first-appearance order with
+        chunks in selection order.
         """
         return self._group_in_order(
             self.select_victim_positions(
@@ -601,11 +590,14 @@ class NodeArena:
         skip_owners: frozenset[str] = frozenset(),
         scan_noise: float = 0.0,
     ) -> list[tuple["PageSet", np.ndarray]]:
-        """The arena form of :func:`repro.policies.linux.global_coldest`:
-        ``max_chunks`` victims, the cold share globally coldest and the
-        noise share uniform over candidate chunks, with the *identical*
-        single ``rng.choice`` draw (same pool total, same pick→chunk map)
-        so RNG streams match the object backend exactly.
+        """The Linux baseline's global LRU scan
+        (:func:`repro.policies.linux.global_coldest`): ``max_chunks``
+        victims, the cold share globally coldest by (temperature,
+        registration order, index) and the noise share uniform over
+        candidate chunks.  The noise takes one ``rng.choice`` draw over
+        per-task pools of each task's ``max_chunks`` coldest candidates,
+        laid out in registration order; each owner's chunks come back
+        deduplicated in ascending index order.
         """
         if max_chunks <= 0 or not self._tasks:
             return []
@@ -632,9 +624,8 @@ class NodeArena:
         chosen = _top_k_by_temp_rank(temp, self.rank[:hi], cand, min(n_cold, cand.size))
         picks_pos: list[np.ndarray] = [chosen]
         if n_noise:
-            # per-task pools capped at max_chunks, in registration order —
-            # the object backend's pool layout, so the single choice() draw
-            # and its pick→(task, j-th coldest) decoding line up exactly
+            # per-task pools capped at max_chunks, in registration order;
+            # a pick decodes to (task, j-th coldest candidate of that task)
             counts = np.bincount(tids, minlength=len(self._slots))
             pool_entries = [e for e in self._tasks.values() if counts[e.slot] > 0]
             sizes = np.array(
@@ -658,7 +649,7 @@ class NodeArena:
                 picks_pos.append(noise)
         allpos = np.concatenate(picks_pos)
         # group by owner in first-appearance order; per-owner indices are
-        # deduped ascending (np.unique == the object backend's sorted(set))
+        # deduped ascending
         all_tids = self.task_id[allpos]
         uniq, first = np.unique(all_tids, return_index=True)
         out: list[tuple["PageSet", np.ndarray]] = []
@@ -671,7 +662,7 @@ class NodeArena:
     # ------------------------------------------------------------------ #
     # kernels: cross-task candidate scans + batch commits (arena-fast)
     #
-    # The exact backends must interleave candidate scans with migrations
+    # The exact core must interleave candidate scans with migrations
     # (mid-pass moves feed later scans), which forces a Python loop per
     # task.  These kernels instead select candidates for *all* tasks from
     # one pre-pass snapshot per tier and commit moves in one vectorised

@@ -138,34 +138,17 @@ class TieredMemoryManager(MemoryPolicy):
     def _evictable_map(self, ctx: PolicyContext, protect_owner: str) -> EvictableMap:
         """Free + cold-evictable bytes per tier, minus the staging reserve.
 
-        Arena backend: one composite bincount over the node arena replaces
-        the per-tier x per-task scan (the sums are order-free integers, so
-        the result is identical).
+        The cold bytes come from one composite bincount over the node
+        arena rather than a per-tier x per-task scan.
         """
         mem = ctx.memory
         ev = EvictableMap()
-        if mem.arena is not None:
-            cold_bytes = mem.arena.evictable_bytes(
-                MEMORY_TIERS, self.cold_threshold, protect_owner=protect_owner
-            )
-            for tier in MEMORY_TIERS:
-                free = max(0, mem.free(tier) - self.staging_buffers.get(tier, 0))
-                ev.available[tier] = free + cold_bytes[tier]
-            return ev
+        cold_bytes = mem.arena.evictable_bytes(
+            MEMORY_TIERS, self.cold_threshold, protect_owner=protect_owner
+        )
         for tier in MEMORY_TIERS:
-            avail = max(0, mem.free(tier) - self.staging_buffers.get(tier, 0))
-            for other in mem.pagesets():
-                if other.owner == protect_owner:
-                    continue
-                in_tier = other.chunks_in(tier)
-                if in_tier.size == 0:
-                    continue
-                cold = in_tier[
-                    (~other.pinned[in_tier])
-                    & (other.temperature[in_tier] <= self.cold_threshold)
-                ]
-                avail += int(cold.size) * other.chunk_size
-            ev.available[tier] = avail
+            free = max(0, mem.free(tier) - self.staging_buffers.get(tier, 0))
+            ev.available[tier] = free + cold_bytes[tier]
         return ev
 
     def _realize(
@@ -305,7 +288,7 @@ class TieredMemoryManager(MemoryPolicy):
     ) -> int:
         mem = ctx.memory
         arena = mem.arena
-        if arena is not None and getattr(mem, "fast_core", False):
+        if mem.fast_core:
             # arena-fast: one cross-task cold scan + one batched commit
             # (globally coldest order, vs the exact path's
             # registration-then-coldest; statistically equivalent)

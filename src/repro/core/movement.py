@@ -29,7 +29,6 @@ from ..memory.pageset import DEFAULT_CHUNK_SIZE
 from ..obs import insight as _insight
 from ..memory.tiers import CXL, DRAM, PMEM, SWAP
 from ..policies.base import PolicyContext
-from ..resilience import invariants as inv
 from ..util.validation import check_fraction, check_positive, require
 from .flags import MemFlag
 from .replacement import PageReplacementPolicy, is_protected
@@ -56,15 +55,10 @@ class MovementConfig:
     exchange_threshold: float = 0.20
     #: temperature below which a DRAM chunk counts as proactively-swappable.
     cold_threshold: float = 0.01
-    #: deprecated alias for :attr:`compaction_min_bytes` (in units of
-    #: :data:`~repro.memory.pageset.DEFAULT_CHUNK_SIZE`); kept so old
-    #: configs keep constructing.  Prefer ``compaction_min_bytes``.
-    compaction_min_chunks: int = 16
     #: record a compaction when a tick frees at least this many bytes.
-    #: Defaults to ``compaction_min_chunks * DEFAULT_CHUNK_SIZE``.  Bytes,
-    #: not chunks: a node can host pagesets with different chunk sizes, so
-    #: thresholding on an arbitrary pageset's chunk size mis-fires.
-    compaction_min_bytes: Optional[int] = None
+    #: Bytes, not chunks: a node can host pagesets with different chunk
+    #: sizes, so thresholding on an arbitrary pageset's chunk size mis-fires.
+    compaction_min_bytes: int = 16 * DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
         check_fraction(self.proactive_threshold, "proactive_threshold")
@@ -73,13 +67,6 @@ class MovementConfig:
         check_fraction(self.low_watermark, "low_watermark")
         require(self.proactive_target <= self.proactive_threshold, "target above threshold")
         require(self.low_watermark <= self.high_watermark, "low watermark above high")
-        check_positive(self.compaction_min_chunks, "compaction_min_chunks")
-        if self.compaction_min_bytes is None:
-            object.__setattr__(
-                self,
-                "compaction_min_bytes",
-                int(self.compaction_min_chunks) * DEFAULT_CHUNK_SIZE,
-            )
         check_positive(self.compaction_min_bytes, "compaction_min_bytes")
 
 
@@ -107,7 +94,7 @@ class IntelligentPageMovement:
         byte-identical (see ``tests/test_arena_fast.py``).
         """
         mem = ctx.memory
-        if mem.arena is not None and getattr(mem, "fast_core", False):
+        if mem.fast_core:
             freed = self._tick_fast(ctx, promote_budget_bytes)
         else:
             # cause scopes label the migration ledger: every movement the
@@ -121,35 +108,6 @@ class IntelligentPageMovement:
                 self._reactive(ctx)
         if freed >= self.config.compaction_min_bytes:
             mem.compact()
-
-    # ------------------------------------------------------------------ #
-    # candidate selection (object backend: top-k then threshold filter;
-    # arena backend: the same list filter-first via the arena kernels,
-    # which is an exact rewrite — see NodeArena.cold_chunks)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _hot_candidates(ps, tier, max_chunks: int, min_temperature: float) -> np.ndarray:
-        if ps.arena is not None:
-            return ps.arena.hot_chunks(ps, tier, max_chunks, min_temperature=min_temperature)
-        # most scans hit a tier the pageset has no chunks in; the memoised
-        # per-tier counts answer that without touching the chunk arrays
-        counts = ps.cached_counts_by_tier()
-        checker = inv.active()
-        if checker.enabled:
-            checker.cached_summary(
-                ps.owner, "tier counts", counts.tolist(), ps.counts_by_tier().tolist()
-            )
-        if not counts[int(tier)]:
-            return np.empty(0, dtype=np.intp)
-        hot = ps.hottest_in(tier, max_chunks)
-        return hot[ps.temperature[hot] >= min_temperature]
-
-    @staticmethod
-    def _cold_candidates(ps, tier, max_chunks: int, max_temperature: float) -> np.ndarray:
-        if ps.arena is not None:
-            return ps.arena.cold_chunks(ps, tier, max_chunks, max_temperature=max_temperature)
-        cold = ps.coldest_in(tier, max_chunks)
-        return cold[ps.temperature[cold] <= max_temperature]
 
     # ------------------------------------------------------------------ #
     # promotion
@@ -173,8 +131,8 @@ class IntelligentPageMovement:
             # the candidate scan outright (idle tasks dominate large nodes)
             if cfg.promote_threshold > 0 and not ps.temperature.any():
                 continue
-            hot_swap = self._hot_candidates(
-                ps, SWAP, budget_bytes // ps.chunk_size, cfg.promote_threshold
+            hot_swap = ps.arena.hot_chunks(
+                ps, SWAP, budget_bytes // ps.chunk_size, min_temperature=cfg.promote_threshold
             )
             if hot_swap.size:
                 moved_idx = self._pull_up(ctx, ps, hot_swap, room_bytes=room_bytes)
@@ -194,8 +152,9 @@ class IntelligentPageMovement:
             if cfg.promote_threshold > 0 and not ps.temperature.any():
                 continue
             for tier in (PMEM, CXL):
-                hot = self._hot_candidates(
-                    ps, tier, budget_bytes // ps.chunk_size, cfg.promote_threshold
+                hot = ps.arena.hot_chunks(
+                    ps, tier, budget_bytes // ps.chunk_size,
+                    min_temperature=cfg.promote_threshold,
                 )
                 if hot.size == 0:
                     continue
@@ -302,7 +261,9 @@ class IntelligentPageMovement:
             if is_protected(self.owner_flags(ps.owner)):
                 continue
             need_chunks = -(-(target_free - freed) // ps.chunk_size)
-            cold = self._cold_candidates(ps, DRAM, need_chunks, cfg.cold_threshold)
+            cold = ps.arena.cold_chunks(
+                ps, DRAM, need_chunks, max_temperature=cfg.cold_threshold
+            )
             if cold.size == 0:
                 continue
             room = max(0, cxl_free) // ps.chunk_size

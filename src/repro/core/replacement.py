@@ -70,30 +70,15 @@ class PageReplacementPolicy:
         """
         if need_chunks <= 0:
             return []
-        arena = ctx.memory.arena
-        if arena is not None:
-            # one masked argpartition over the whole arena; identical
-            # two-level (protected, temperature, registration, index) order
-            def classify(owner: str) -> bool:
-                return is_protected(self.owner_flags(owner))
 
-            return arena.select_victims(
-                DRAM, need_chunks, classify, protect_owner=protect_owner
-            )
-        ordered: list[tuple[int, float, int, PageSet, int]] = []
-        for order_key, ps in enumerate(ctx.memory.pagesets()):
-            if ps.owner == protect_owner:
-                continue
-            protected = 1 if is_protected(self.owner_flags(ps.owner)) else 0
-            cand = ps.coldest_in(DRAM, need_chunks)
-            for i in cand:
-                ordered.append((protected, float(ps.temperature[i]), order_key, ps, int(i)))
-        ordered.sort(key=lambda e: (e[0], e[1], e[2], e[4]))
-        chosen = ordered[:need_chunks]
-        grouped: dict[str, tuple[PageSet, list[int]]] = {}
-        for _, _, _, ps, i in chosen:
-            grouped.setdefault(ps.owner, (ps, []))[1].append(i)
-        return [(ps, np.asarray(idx, dtype=np.int64)) for ps, idx in grouped.values()]
+        # one masked argpartition over the whole node arena, in the
+        # two-level (protected, temperature, registration, index) order
+        def classify(owner: str) -> bool:
+            return is_protected(self.owner_flags(owner))
+
+        return ctx.memory.arena.select_victims(
+            DRAM, need_chunks, classify, protect_owner=protect_owner
+        )
 
     def replace(
         self,
@@ -117,7 +102,7 @@ class PageReplacementPolicy:
         if nbytes <= 0:
             return 0
         mem = ctx.memory
-        if mem.arena is not None and getattr(mem, "fast_core", False):
+        if mem.fast_core:
             return self._replace_fast(
                 ctx, nbytes, protect_owner=protect_owner, shadow_demotions=shadow_demotions
             )

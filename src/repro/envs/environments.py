@@ -90,11 +90,11 @@ class EnvironmentConfig:
     #: override the policy entirely (Fig. 7 allocation-policy comparison)
     policy_factory: Optional[Callable[[dict[TierKind, TierSpec]], MemoryPolicy]] = None
     validate_invariants: bool = False
-    #: simulation-core backend: "object" | "arena" | "arena-fast" | None
-    #: (= $REPRO_CORE).  Deliberately NOT part of ScenarioSpec — scenario
-    #: digests must be backend-invariant ("object" and "arena" produce
-    #: byte-identical results; "arena-fast" is statistically equivalent,
-    #: see docs/performance.md).
+    #: simulation-core backend: "arena" (exact) | "arena-fast" | None
+    #: (= $REPRO_CORE, default "arena").  Deliberately NOT part of
+    #: ScenarioSpec — scenario digests must be backend-invariant
+    #: ("arena-fast" is statistically equivalent to the exact core, see
+    #: docs/performance.md).
     core_backend: Optional[str] = None
 
     def __post_init__(self) -> None:

@@ -53,10 +53,10 @@ def _stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return sel[np.argsort(keys[sel], kind="stable")]
 
 
-#: per-chunk array fields mirrored into the arena backend, in layout order
+#: per-chunk array fields mirrored into the node arena, in layout order
 ARRAY_FIELDS = ("tier", "temperature", "access_weight", "pinned", "in_page_cache", "region")
 
-#: the fields a placement summary (access profile, per-tier counts) reads;
+#: the fields a placement summary (the access profile) reads;
 #: rebinding one bumps :attr:`PageSet.placement_version`
 PLACEMENT_FIELDS = frozenset(("tier", "access_weight", "in_page_cache"))
 
@@ -65,9 +65,9 @@ def _array_field(name: str) -> property:
     """A per-chunk array attribute that *writes through* when the pageset
     is adopted by a :class:`~repro.core.arena.NodeArena`.
 
-    Object backend: plain attribute rebinding, exactly as before.  Arena
-    backend: the attribute is a view of an arena slice, and assignment
-    copies element-wise into that view — so code that replaces whole
+    Standalone (unregistered) pageset: plain attribute rebinding.
+    Adopted pageset: the attribute is a view of an arena slice, and
+    assignment copies element-wise into that view — so code that replaces whole
     arrays (``ps.temperature = ...`` in tests and benchmarks,
     ``set_access_weights`` each phase) can never silently detach the view
     from the node-level kernels.  Assigning a placement field bumps the
@@ -80,7 +80,7 @@ def _array_field(name: str) -> property:
         return getattr(self, priv)
 
     def setter(self: "PageSet", value) -> None:
-        if self._arena is not None:
+        if self._arena_start >= 0:  # adopted: write through the view
             cur = getattr(self, priv)
             if value is not cur:  # in-place numpy ops hand back the same view
                 cur[:] = value
@@ -116,10 +116,11 @@ class PageSet:
         ``int16[n]`` — allocation-region id; maps to the
         :class:`~repro.core.flags.MemFlag` the region was requested with.
 
-    Under ``REPRO_CORE=arena`` these arrays are views of one node-level
+    Once registered with a node these arrays are views of its
     :class:`~repro.core.arena.NodeArena`; every method works identically
     on views, and whole-array assignment writes through (see
-    :func:`_array_field`).
+    :func:`_array_field`).  A pageset owns standalone arrays before
+    registration and again after unregistration.
 
     ``placement_version`` is bumped by every writer of ``tier``,
     ``access_weight`` or ``in_page_cache`` (never by ``temperature``,
@@ -143,7 +144,6 @@ class PageSet:
         "_arena",
         "_arena_start",
         "placement_version",
-        "_counts_cache",
     )
 
     tier = _array_field("tier")
@@ -157,9 +157,8 @@ class PageSet:
         check_positive(total_bytes, "total_bytes")
         check_positive(chunk_size, "chunk_size")
         self._arena = None
-        self._arena_start = 0
+        self._arena_start = -1
         self.placement_version = 0
-        self._counts_cache: Optional[tuple[int, np.ndarray]] = None
         self.owner = owner
         self.chunk_size = int(chunk_size)
         self.n_chunks = int(-(-int(total_bytes) // self.chunk_size))  # ceil div
@@ -174,7 +173,7 @@ class PageSet:
         self.region_flags: dict[int, object] = {}
 
     # ------------------------------------------------------------------ #
-    # arena backend binding (see repro.core.arena)
+    # arena binding (see repro.core.arena)
     # ------------------------------------------------------------------ #
     @property
     def arena(self):
@@ -183,14 +182,14 @@ class PageSet:
 
     @property
     def arena_start(self) -> int:
-        """This pageset's segment offset within the adopting arena."""
+        """This pageset's segment offset within the adopting arena
+        (-1 while standalone)."""
         return self._arena_start
 
     def _bind_arena_views(self, arena, start: int) -> None:
         """Rebind every array to a view of ``arena``'s segment at ``start``
         (adoption, and re-pointing after the arena's backing arrays grow)."""
         end = start + self.n_chunks
-        self._arena = None  # bypass write-through while rebinding
         for name in ARRAY_FIELDS:
             setattr(self, "_" + name, getattr(arena, name)[start:end])
         self._arena = arena
@@ -199,10 +198,10 @@ class PageSet:
     def _unbind_arena_views(self) -> None:
         """Detach from the arena: copy current state out to standalone
         arrays so the pageset stays usable after unregistration."""
-        self._arena = None
         for name in ARRAY_FIELDS:
             setattr(self, "_" + name, getattr(self, "_" + name).copy())
-        self._arena_start = 0
+        self._arena = None
+        self._arena_start = -1
 
     # ------------------------------------------------------------------ #
     # size / residency queries
@@ -230,16 +229,6 @@ class PageSet:
         """``int64[NUM_TIERS]`` chunk counts per tier (unmapped excluded)."""
         mapped = self.tier[self.tier != UNMAPPED]
         return np.bincount(mapped.astype(np.int64), minlength=NUM_TIERS)
-
-    def cached_counts_by_tier(self) -> np.ndarray:
-        """:meth:`counts_by_tier` memoised under :attr:`placement_version`.
-        The returned array is shared and read-only."""
-        cache = self._counts_cache
-        if cache is None or cache[0] != self.placement_version:
-            counts = self.counts_by_tier()
-            counts.setflags(write=False)
-            cache = self._counts_cache = (self.placement_version, counts)
-        return cache[1]
 
     def bytes_by_tier(self) -> np.ndarray:
         return self.counts_by_tier() * self.chunk_size

@@ -63,16 +63,14 @@ class MemoryTrafficStats:
 class NodeMemorySystem:
     """Tier accounting and placement engine for one cluster node.
 
-    ``backend`` selects the per-chunk metadata core: ``"object"`` keeps
-    each pageset's arrays standalone, ``"arena"`` packs them into one
-    node-level :class:`~repro.core.arena.NodeArena` whose vectorised
-    kernels the hot paths (heatmap advance, victim selection, evictable
-    accounting) then dispatch to, and ``"arena-fast"`` additionally lets
-    the movement/replacement paths run whole-node batched kernels
+    Registered pagesets live in one node-level
+    :class:`~repro.core.arena.NodeArena`, whose vectorised kernels serve
+    the hot paths (heatmap advance, victim selection, evictable
+    accounting).  ``backend`` picks the movement contract: ``"arena"``
+    is exact, ``"arena-fast"`` additionally lets the
+    movement/replacement paths run whole-node batched kernels
     (statistically equivalent, not byte-identical — see
     ``tests/test_arena_fast.py``).  ``None`` defers to ``$REPRO_CORE``.
-    ``object`` and ``arena`` are behaviourally identical (see
-    ``tests/test_arena.py``).
     """
 
     def __init__(
@@ -82,24 +80,15 @@ class NodeMemorySystem:
         backend: Optional[str] = None,
     ) -> None:
         require(set(specs) == set(TierKind), "specs must cover every TierKind")
-        from ..core.arena import (
-            BACKEND_ARENA,
-            BACKEND_ARENA_FAST,
-            NodeArena,
-            resolve_backend,
-        )
+        from ..core.arena import BACKEND_ARENA_FAST, NodeArena, resolve_backend
 
         self.node_id = node_id
         self.specs = dict(specs)
         self.backend = resolve_backend(backend)
         #: True when relaxed batched movement kernels are sanctioned
         self.fast_core: bool = self.backend == BACKEND_ARENA_FAST
-        #: the struct-of-arrays core, or None under the object backend
-        self.arena: Optional[NodeArena] = (
-            NodeArena(node_id)
-            if self.backend in (BACKEND_ARENA, BACKEND_ARENA_FAST)
-            else None
-        )
+        #: the struct-of-arrays core holding every registered pageset
+        self.arena = NodeArena(node_id)
         self._capacity = np.array(
             [specs[TierKind(t)].capacity for t in range(NUM_TIERS)], dtype=np.int64
         )
@@ -160,8 +149,7 @@ class NodeMemorySystem:
     def register(self, ps: PageSet) -> None:
         require(ps.owner not in self._pagesets, f"pageset {ps.owner!r} already registered")
         require(not ps.mapped_mask.any(), "pageset must be unmapped at registration")
-        if self.arena is not None:
-            self.arena.adopt(ps)
+        self.arena.adopt(ps)
         self._pagesets[ps.owner] = ps
 
     def unregister(self, ps: PageSet) -> None:
@@ -172,9 +160,8 @@ class NodeMemorySystem:
         shadows = int(np.count_nonzero(ps.in_page_cache))
         self._page_cache_used -= shadows * ps.chunk_size
         ps.unmap()
-        if self.arena is not None:
-            # copy the (now unmapped) state back out and zero the segment
-            self.arena.release(ps)
+        # copy the (now unmapped) state back out and zero the segment
+        self.arena.release(ps)
         del self._pagesets[ps.owner]
 
     def pagesets(self) -> Iterable[PageSet]:
@@ -304,7 +291,6 @@ class NodeMemorySystem:
         of a loop per pageset chunk range.  Returns bytes moved.
         """
         arena = self.arena
-        require(arena is not None, "migrate_positions() requires an arena backend")
         positions = np.asarray(positions, dtype=np.intp)
         if positions.size == 0:
             return 0
@@ -407,7 +393,6 @@ class NodeMemorySystem:
         positions spanning any number of tasks (the arena-fast proactive
         path).  Returns the number of chunks actually shadowed."""
         arena = self.arena
-        require(arena is not None, "add_page_cache_shadows_batch() requires an arena backend")
         positions = np.asarray(positions, dtype=np.intp)
         if positions.size == 0:
             return 0
@@ -589,37 +574,27 @@ class NodeMemorySystem:
     def validate(self) -> None:
         """Assert accounting matches the union of registered pagesets.
 
-        Under the arena backend the per-tier expectation comes from one
-        whole-arena reduction instead of a per-pageset sum, and every
-        pageset's arrays are additionally checked to still be live views
-        of the arena (a detached view would let kernels and per-task
-        paths silently diverge).
+        The per-tier expectation comes from one whole-arena reduction, and
+        every pageset's arrays are checked to still be live views of the
+        arena (a detached view would let kernels and per-task paths
+        silently diverge).
         """
-        if self.arena is not None:
-            arena = self.arena
-            for ps in self._pagesets.values():
-                require(
-                    ps.arena is arena and ps.temperature.base is arena.temperature,
-                    f"{ps.owner}: pageset arrays detached from the node arena",
-                )
-            hi = arena.hi
-            bad = arena.in_page_cache[:hi] & (
-                (arena.tier[:hi] == int(DRAM)) | (arena.tier[:hi] == UNMAPPED)
+        arena = self.arena
+        for ps in self._pagesets.values():
+            require(
+                ps.arena is arena and ps.temperature.base is arena.temperature,
+                f"{ps.owner}: pageset arrays detached from the node arena",
             )
-            if bad.any():
-                slot = int(arena.task_id[int(np.flatnonzero(bad)[0])])
-                owner = arena._slots[slot].owner if slot >= 0 else "<free slot>"
-                require(False, f"{owner}: page-cache shadow for DRAM/unmapped chunk")
-            expect = arena.used_bytes_by_tier()
-            shadow_bytes = arena.shadow_bytes()
-        else:
-            expect = np.zeros(NUM_TIERS, dtype=np.int64)
-            shadow_bytes = 0
-            for ps in self._pagesets.values():
-                expect += ps.counts_by_tier() * ps.chunk_size
-                shadow_bytes += int(np.count_nonzero(ps.in_page_cache)) * ps.chunk_size
-                bad = ps.in_page_cache & ((ps.tier == int(DRAM)) | (ps.tier == UNMAPPED))
-                require(not bad.any(), f"{ps.owner}: page-cache shadow for DRAM/unmapped chunk")
+        hi = arena.hi
+        bad = arena.in_page_cache[:hi] & (
+            (arena.tier[:hi] == int(DRAM)) | (arena.tier[:hi] == UNMAPPED)
+        )
+        if bad.any():
+            slot = int(arena.task_id[int(np.flatnonzero(bad)[0])])
+            owner = arena._slots[slot].owner if slot >= 0 else "<free slot>"
+            require(False, f"{owner}: page-cache shadow for DRAM/unmapped chunk")
+        expect = arena.used_bytes_by_tier()
+        shadow_bytes = arena.shadow_bytes()
         require(bool(np.all(expect == self._used)), "per-tier used bytes drifted from pagesets")
         require(shadow_bytes == self._page_cache_used, "page-cache accounting drifted")
         total_dram = self._used[int(DRAM)] + self._page_cache_used

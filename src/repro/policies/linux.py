@@ -43,56 +43,20 @@ def global_coldest(
     latency-sensitive workflows get "blindly swapped out" (§III-C3) —
     the failure mode Algorithm 2 exists to prevent.
 
-    Returns ``(pageset, chunk_indices)`` pairs; per-pageset candidate
-    lists are merged by temperature so the cold part is globally coldest.
+    Returns ``(pageset, chunk_indices)`` pairs: owners in first-selection
+    order, each owner's chunks ascending.  The node arena runs the scan as
+    one masked kernel (:meth:`~repro.core.arena.NodeArena.global_coldest`).
     """
     if max_chunks <= 0:
         return []
-    arena = ctx.memory.arena
-    if arena is not None:
-        # the arena kernel reproduces this function exactly — including the
-        # single rng.choice() draw for scan noise, so RNG streams match
-        return arena.global_coldest(
-            tier,
-            max_chunks,
-            ctx.rng,
-            include_pinned=include_pinned,
-            skip_owners=skip_owners,
-            scan_noise=scan_noise,
-        )
-    n_noise = int(round(max_chunks * scan_noise)) if scan_noise > 0 else 0
-    n_cold = max_chunks - n_noise
-    entries: list[tuple[float, int, PageSet, int]] = []
-    pools: list[tuple[PageSet, np.ndarray]] = []
-    for order_key, ps in enumerate(ctx.memory.pagesets()):
-        if ps.owner in skip_owners:
-            continue
-        cand = ps.coldest_in(tier, max_chunks, include_pinned=include_pinned)
-        for i in cand:
-            entries.append((float(ps.temperature[i]), order_key, ps, int(i)))
-        if n_noise and cand.size:
-            pools.append((ps, cand))
-    entries.sort(key=lambda e: (e[0], e[1], e[3]))
-    grouped: dict[str, tuple[PageSet, set[int]]] = {}
-
-    def take(ps: PageSet, i: int) -> None:
-        grouped.setdefault(ps.owner, (ps, set()))[1].add(i)
-
-    for _, _, ps, i in entries[:n_cold]:
-        take(ps, i)
-    if n_noise and pools:
-        # uniformly-random victims over all candidate chunks on the node
-        sizes = np.array([c.size for _, c in pools], dtype=np.int64)
-        total = int(sizes.sum())
-        picks = ctx.rng.choice(total, size=min(n_noise, total), replace=False)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        for p in picks:
-            k = int(np.searchsorted(offsets, p, side="right")) - 1
-            ps, cand = pools[k]
-            take(ps, int(cand[p - offsets[k]]))
-    return [
-        (ps, np.asarray(sorted(idx), dtype=np.int64)) for ps, idx in grouped.values()
-    ]
+    return ctx.memory.arena.global_coldest(
+        tier,
+        max_chunks,
+        ctx.rng,
+        include_pinned=include_pinned,
+        skip_owners=skip_owners,
+        scan_noise=scan_noise,
+    )
 
 
 class LinuxSwapPolicy(MemoryPolicy):

@@ -1,18 +1,18 @@
 """Statistical-equivalence contract for the ``arena-fast`` backend.
 
-``arena-fast`` trades the exact backends' chunk-for-chunk movement
-semantics for whole-node batched kernels.  Its contract, pinned here and
+``arena-fast`` trades the exact ``arena`` core's chunk-for-chunk
+movement semantics for whole-node batched kernels.  Its contract, pinned here and
 documented in docs/performance.md, has three clauses:
 
 1. **Exact outside IMME.**  The batched paths are only reachable through
    the IMME movement daemon, so the IE/CBE/TME environments and every
-   baseline policy must stay *bit-identical* to the object backend —
-   full per-task metric fingerprints, same as tests/test_arena.py pins
-   between object and arena.
+   baseline policy must stay *bit-identical* to the exact core — full
+   per-task metric fingerprints, the ones tests/test_arena.py pins
+   against recorded digests.
 
 2. **Statistically equivalent inside IMME.**  Scenario-level outcomes
    (makespan, startup, fault totals, latency percentiles) must agree
-   with the object backend within the declared tolerance bands in
+   with the exact core within the declared tolerance bands in
    :data:`BANDS`; completion and failure *counts* must agree exactly,
    including under fault injection.
 
@@ -31,11 +31,7 @@ import pytest
 
 from repro.core.movement import IntelligentPageMovement, MovementConfig
 from repro.core.replacement import PageReplacementPolicy
-from repro.core.arena import (
-    BACKEND_ARENA,
-    BACKEND_ARENA_FAST,
-    BACKEND_OBJECT,
-)
+from repro.core.arena import BACKEND_ARENA, BACKEND_ARENA_FAST, BACKENDS
 from repro.core.flags import MemFlag
 from repro.envs.environments import EnvKind
 from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
@@ -51,7 +47,7 @@ from test_arena import ENV_CASES, metrics_fingerprint, run_small_metrics
 
 FAST = BACKEND_ARENA_FAST
 
-#: Relative tolerance per aggregate, arena-fast vs object, for IMME runs.
+#: Relative tolerance per aggregate, arena-fast vs arena, for IMME runs.
 #: These are the *declared* bands from docs/performance.md — widening one
 #: is a contract change and needs a matching docs edit.  Calibration
 #: across every registry family puts the worst observed deviation at
@@ -71,7 +67,7 @@ def assert_band(name, fast_value, exact_value, rel=None, abs_floor=1e-9):
     rel = BANDS[name] if rel is None else rel
     tol = max(abs_floor, rel * abs(exact_value))
     assert abs(fast_value - exact_value) <= tol, (
-        f"{name}: arena-fast={fast_value!r} vs object={exact_value!r} "
+        f"{name}: arena-fast={fast_value!r} vs arena={exact_value!r} "
         f"exceeds the declared ±{rel:.0%} band"
     )
 
@@ -90,7 +86,7 @@ class TestExactOutsideImme:
     def test_non_imme_envs_bit_identical(self, kind, policy_factory):
         fps = [
             metrics_fingerprint(run_small_metrics(b, kind, policy_factory))
-            for b in (BACKEND_OBJECT, FAST)
+            for b in (BACKEND_ARENA, FAST)
         ]
         assert fps[0] == fps[1]
 
@@ -141,7 +137,7 @@ def assert_imme_equivalent(fast, exact):
     # cluster accomplishes
     for name in ("n_tasks", "completed", "failed", "oom_kills", "retries"):
         assert fast[name] == exact[name], (
-            f"{name}: arena-fast={fast[name]} vs object={exact[name]} "
+            f"{name}: arena-fast={fast[name]} vs arena={exact[name]} "
             "(counts must match exactly)"
         )
     for name in BANDS:
@@ -150,7 +146,7 @@ def assert_imme_equivalent(fast, exact):
 
 class TestImmeWithinBands:
     def test_paper_batch(self):
-        exact = aggregates(run_small_metrics(BACKEND_OBJECT, EnvKind.IMME))
+        exact = aggregates(run_small_metrics(BACKEND_ARENA, EnvKind.IMME))
         fast = aggregates(run_small_metrics(FAST, EnvKind.IMME))
         assert_imme_equivalent(fast, exact)
 
@@ -165,7 +161,7 @@ class TestImmeWithinBands:
             )
 
         exact = aggregates(
-            run_small_metrics(BACKEND_OBJECT, EnvKind.IMME, faults=schedule())
+            run_small_metrics(BACKEND_ARENA, EnvKind.IMME, faults=schedule())
         )
         fast = aggregates(run_small_metrics(FAST, EnvKind.IMME, faults=schedule()))
         assert_imme_equivalent(fast, exact)
@@ -205,7 +201,7 @@ class TestEveryScenarioFamily:
     @pytest.mark.parametrize("name", REGISTRY.family_names())
     def test_family_within_bands(self, name):
         spec = family_pick(name)
-        exact = run_family_outcome(spec, BACKEND_OBJECT)
+        exact = run_family_outcome(spec, BACKEND_ARENA)
         fast = run_family_outcome(spec, FAST)
         assert fast.digest == exact.digest
         assert fast.seed == exact.seed
@@ -230,11 +226,11 @@ class TestEveryScenarioFamily:
 
 
 class TestDigestInvariance:
-    def test_digests_identical_across_all_three_backends(self, monkeypatch):
+    def test_digests_identical_across_both_backends(self, monkeypatch):
         digests = []
-        for backend in (BACKEND_OBJECT, BACKEND_ARENA, FAST):
+        for backend in BACKENDS:
             monkeypatch.setenv("REPRO_CORE", backend)
             digests.append(
                 [REGISTRY.family(n).digest() for n in REGISTRY.family_names()]
             )
-        assert digests[0] == digests[1] == digests[2]
+        assert digests[0] == digests[1]

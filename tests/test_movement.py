@@ -239,14 +239,13 @@ class TestCompaction:
         movement.tick(ctx, promote_budget_bytes=0)
         assert node.stats.compactions == 0
 
-    def test_deprecated_chunk_alias_scales_by_default_chunk_size(self):
+    def test_default_threshold_is_sixteen_default_chunks(self):
         from repro.memory.pageset import DEFAULT_CHUNK_SIZE
 
-        cfg = MovementConfig(compaction_min_chunks=3)
-        assert cfg.compaction_min_bytes == 3 * DEFAULT_CHUNK_SIZE
-        # an explicit byte threshold wins over the alias
-        cfg = MovementConfig(compaction_min_chunks=3, compaction_min_bytes=123456)
-        assert cfg.compaction_min_bytes == 123456
+        assert MovementConfig().compaction_min_bytes == 16 * DEFAULT_CHUNK_SIZE
+        assert MovementConfig(compaction_min_bytes=123456).compaction_min_bytes == 123456
+        with pytest.raises(Exception):
+            MovementConfig(compaction_min_bytes=0)
 
     def test_threshold_is_bytes_not_an_arbitrary_pagesets_chunks(self):
         """Mixed chunk sizes on one node: the trigger must compare bytes

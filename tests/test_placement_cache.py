@@ -2,11 +2,11 @@
 
 Every writer of a pageset's ``tier``, ``access_weight`` or
 ``in_page_cache`` bumps its ``placement_version``; the rate model's
-per-task access profile and the movement daemon's per-tier chunk counts
-are recomputed only when that version moves.  These tests pin who bumps
-(and who must not), and run a fault-heavy IMME batch under every core
-with the invariant checker comparing each memoised summary against a
-fresh recomputation.
+per-task access profile is recomputed only when that version moves.
+These tests pin who bumps (and who must not), on standalone and adopted
+pagesets, and run a fault-heavy IMME batch under every core with the
+invariant checker comparing each memoised profile against a fresh
+recomputation.
 """
 
 import os
@@ -50,6 +50,8 @@ def bumps(ps, fn):
 
 
 class TestVersionContract:
+    # ids: "object" is a standalone pageset owning its arrays, "arena" one
+    # whose arrays are views of a node arena
     @pytest.mark.parametrize("adopted", [False, True], ids=["object", "arena"])
     def test_pageset_writers_bump(self, adopted):
         ps = fresh_ps()
@@ -112,19 +114,6 @@ class TestVersionContract:
         versions = [ps.placement_version for ps in sets]
         arena.shadow_batch(np.array([b.arena_start + 2]), 10 * CHUNK)
         assert [ps.placement_version - v for ps, v in zip(sets, versions)] == [0, 1, 0]
-
-
-class TestCachedCountsByTier:
-    def test_memo_is_shared_read_only_and_follows_the_version(self):
-        ps = fresh_ps()
-        ps.assign(np.arange(3), CXL)
-        counts = ps.cached_counts_by_tier()
-        assert counts.tolist() == [0, 0, 3, 0]
-        assert ps.cached_counts_by_tier() is counts
-        with pytest.raises(ValueError):
-            counts[0] = 1
-        ps.assign(np.arange(2), SWAP)
-        assert ps.cached_counts_by_tier().tolist() == [0, 0, 1, 2]
 
 
 # --------------------------------------------------------------------------- #
@@ -196,7 +185,7 @@ class TestProfileMemo:
             return real_recompute(agent)
 
         monkeypatch.setattr(NodeAgent, "recompute_rates", recompute)
-        run_batch("object", faults=False)
+        run_batch(BACKEND_ARENA, faults=False)
         assert sum(served) > 0
         # the scalar path computed two profiles per task per recompute
         assert len(calls) < 0.5 * sum(served)
@@ -229,8 +218,8 @@ class TestCoherenceAcrossCores:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_faulted_batch_with_reclaim_keeps_every_memo_coherent(self, backend, monkeypatch):
         """Tier-offline evacuation, a node crash and DRAM page-cache
-        reclaim under each core, with every memoised profile and tier
-        count checked against a fresh recomputation as it is used."""
+        reclaim under each core, with every memoised profile checked
+        against a fresh recomputation as it is used."""
         reclaimed = []
         real = NodeMemorySystem._reclaim_page_cache
 
