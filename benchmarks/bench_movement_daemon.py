@@ -57,9 +57,10 @@ def test_daemon_pass_steady_state(benchmark, backend, record_throughput, n_tasks
     node.validate()
     record_throughput(total_cells(node), MiB(4))
     benchmark.extra_info["n_tasks"] = n_tasks
-    benchmark.extra_info["passes_per_sec"] = round(
-        1.0 / benchmark.stats.stats.median, 2
-    )
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["passes_per_sec"] = round(
+            1.0 / benchmark.stats.stats.median, 2
+        )
 
 
 def test_daemon_steady_state_speedup(backend):

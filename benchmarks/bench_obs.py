@@ -121,6 +121,8 @@ def test_disabled_overhead_budget(benchmark, backend):
 
     assert not obs.enabled()
     benchmark.pedantic(lambda: run_scenario(spec), rounds=3, iterations=1)
+    if benchmark.stats is None:  # --benchmark-disable: no timing to budget
+        return
     disabled_s = benchmark.stats.stats.median
 
     overhead = emissions * per_call
@@ -227,6 +229,8 @@ def test_insight_overhead_budget(benchmark, backend):
 
     assert not _insight.enabled()
     benchmark.pedantic(lambda: run_scenario(spec), rounds=3, iterations=1)
+    if benchmark.stats is None:  # --benchmark-disable: no timing to budget
+        return
     disabled_s = benchmark.stats.stats.median
 
     for label, per_call, budget in (

@@ -92,6 +92,8 @@ def test_disabled_invariant_budget(benchmark):
 
     assert not invariants.enabled()
     benchmark.pedantic(lambda: run_scenario(spec), rounds=3, iterations=1)
+    if benchmark.stats is None:  # --benchmark-disable: no timing to budget
+        return
     disabled_s = benchmark.stats.stats.median
 
     overhead = sites * per_call
@@ -126,6 +128,8 @@ def test_supervision_tax_per_cell(benchmark):
         rounds=3, iterations=1,
     )
     assert sup.ok and sup.results == plain
+    if benchmark.stats is None:  # --benchmark-disable: no timing to budget
+        return
     per_cell = max(0.0, benchmark.stats.stats.median - plain_s) / N_CELLS
 
     _ensure_catalog()

@@ -57,6 +57,8 @@ def record_throughput(benchmark):
     """
 
     def _record(n_cells, chunk_size=None):
+        if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+            return
         median = benchmark.stats.stats.median
         if median <= 0:  # pragma: no cover - degenerate timer resolution
             return

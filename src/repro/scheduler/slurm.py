@@ -14,6 +14,7 @@ cold-start bottleneck faithfully.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -83,6 +84,8 @@ class SlurmScheduler:
         self.admission: "Optional[object]" = None
         #: arrivals turned away by the admission policy
         self.rejected = 0
+        #: the admission policies' live view, built on first use
+        self._view: "Optional[object]" = None
         for agent in self.agents:
             agent.on_capacity_freed.append(self._pump)
 
@@ -127,7 +130,7 @@ class SlurmScheduler:
 
     def try_submit(
         self,
-        spec: TaskSpec,
+        task: Callable[[], TaskSpec],
         *,
         flags: Optional[MemFlag] = None,
         priority: int = 0,
@@ -136,18 +139,27 @@ class SlurmScheduler:
         """Admission-gated submission: consult the attached policy and
         either enqueue the job or turn it away (returns ``None``).
 
-        Rejection is deliberately cheap — no :class:`Job`, no metrics
-        entry — so an open-loop stream pounding a saturated cluster costs
-        one policy check per arrival, nothing more.
+        ``task`` is a zero-argument callable that builds the arriving
+        :class:`TaskSpec`.  Admission is decided *before* the build:
+        a policy that needs only the live cluster state (``accept-all``,
+        ``queue-cap``) never calls it, so a shed arrival costs one policy
+        check — no task, no :class:`Job`, no metrics entry.  The callable
+        is cached, so a policy that does read the task (``memory-headroom``)
+        and the submission that follows share one build.
         """
+        task = functools.cache(task)
         if self.admission is not None:
-            from ..service.admission import ClusterView
+            view = self._view
+            if view is None:
+                # service sits above the scheduler: import on first use only
+                from ..service.admission import ClusterView
 
-            if not self.admission.admit(spec, ClusterView(self, self.agents)):
+                view = self._view = ClusterView(self, self.agents)
+            if not self.admission.admit(task, view):
                 self.rejected += 1
                 obs.counter("sched.rejected")
                 return None
-        return self.submit(spec, flags=flags, priority=priority, on_done=on_done)
+        return self.submit(task(), flags=flags, priority=priority, on_done=on_done)
 
     def submit_batch(
         self,

@@ -9,13 +9,18 @@ admits (and absorbs) the same stream.
 
 Policies see a :class:`ClusterView` — live queue depth plus per-node free
 capacity — and return accept/reject; the service loop counts both per
-window.  Rejection is *cheap by design*: no job object, no metrics entry,
-no scheduler interaction, so a saturated run stays fast.
+window.  The arriving task comes as a zero-argument callable that builds
+its :class:`~repro.workflows.task.TaskSpec`: ``accept-all`` and
+``queue-cap`` never call it, so a shed arrival builds no task at all, and
+``memory-headroom`` calls it to read the footprint (the scheduler caches
+the result, so an admitted arrival is still built exactly once).
+Rejection is *cheap by design*: no task, no job object, no metrics entry,
+so a saturated run stays fast.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..memory.tiers import MEMORY_TIERS
 from ..util.validation import check_positive, require
@@ -63,11 +68,15 @@ class ClusterView:
 
 
 class AdmissionPolicy:
-    """Base: accept/reject one arriving task against the live cluster."""
+    """Base: accept/reject one arriving task against the live cluster.
+
+    ``task`` builds the arriving :class:`~repro.workflows.task.TaskSpec`
+    when called; a policy that decides without the task must not call it.
+    """
 
     name = "accept-all"
 
-    def admit(self, spec: "TaskSpec", view: ClusterView) -> bool:
+    def admit(self, task: "Callable[[], TaskSpec]", view: ClusterView) -> bool:
         raise NotImplementedError
 
 
@@ -76,7 +85,7 @@ class AcceptAll(AdmissionPolicy):
 
     name = "accept-all"
 
-    def admit(self, spec: "TaskSpec", view: ClusterView) -> bool:
+    def admit(self, task: "Callable[[], TaskSpec]", view: ClusterView) -> bool:
         return True
 
 
@@ -89,7 +98,7 @@ class QueueDepthCap(AdmissionPolicy):
         check_positive(max_depth, "max_depth")
         self.max_depth = int(max_depth)
 
-    def admit(self, spec: "TaskSpec", view: ClusterView) -> bool:
+    def admit(self, task: "Callable[[], TaskSpec]", view: ClusterView) -> bool:
         return view.queue_depth < self.max_depth
 
 
@@ -109,8 +118,8 @@ class MemoryHeadroomGate(AdmissionPolicy):
         check_positive(headroom, "headroom")
         self.headroom = float(headroom)
 
-    def admit(self, spec: "TaskSpec", view: ClusterView) -> bool:
-        need = int(spec.max_footprint * self.headroom)
+    def admit(self, task: "Callable[[], TaskSpec]", view: ClusterView) -> bool:
+        need = int(task().max_footprint * self.headroom)
         return view.best_free_memory() >= need
 
 

@@ -10,7 +10,8 @@ experiment: it owns the drive loop.  The moving parts:
 * a :class:`~repro.sim.process.ReportPeriod` boundary event sampling the
   live state (queue depth, running cores) once per window;
 * the scheduler's attached admission policy
-  (:mod:`repro.service.admission`) deciding accept/shed per arrival;
+  (:mod:`repro.service.admission`) deciding accept/shed per arrival,
+  before the arrival's task is built — a shed arrival never builds one;
 * a custom drain condition: the run is over when the stream is exhausted
   *and* the scheduler is idle (``run_to_completion`` alone would exit in
   any momentary gap between arrivals).
@@ -22,6 +23,7 @@ tails — happens after the clock stops, in
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .. import obs
@@ -131,11 +133,12 @@ class ServiceRun:
         )
 
     def _on_arrival(self, index: int, override: Optional[str]) -> None:
-        task = self.stream.task(index, override)
         self.offered += 1
-        job = self.scheduler.try_submit(task)
+        # the scheduler builds the task only if the policy needs it or admits it
+        job = self.scheduler.try_submit(partial(self.stream.task, index, override))
         admitted = job is not None
         if admitted:
+            task = job.spec
             self.admitted += 1
             self._submitted.add(task.name)
             self.accumulator.cores_of[task.name] = task.cores

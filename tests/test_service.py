@@ -438,8 +438,8 @@ class TestAdmission:
         stream = TaskStream((("DM", 1),), TINY, 0)
         task = stream.task(0)
         gate = MemoryHeadroomGate(headroom=2.0)
-        assert gate.admit(task, _StubView(best_free=int(task.max_footprint * 2)))
-        assert not gate.admit(task, _StubView(best_free=int(task.max_footprint)))
+        assert gate.admit(lambda: task, _StubView(best_free=int(task.max_footprint * 2)))
+        assert not gate.admit(lambda: task, _StubView(best_free=int(task.max_footprint)))
 
     def test_build_admission_dispatch(self):
         assert isinstance(build_admission(ServiceSpec(max_arrivals=1)), AcceptAll)
@@ -463,6 +463,113 @@ class TestAdmission:
             assert view.free_memory(0) == view.best_free_memory()
         finally:
             env.stop()
+
+
+# --------------------------------------------------------------------------- #
+# build contract: admission is decided before the arrival's task is built
+# --------------------------------------------------------------------------- #
+
+_MIX = (("DM", 3), ("DC", 1))
+
+#: policy -> (env kind, DRAM, spec, seed, pinned report).  The pinned
+#: fields were recorded with the build-then-admit arrival path, so the
+#: admit-then-build path must reproduce them exactly; the float fields
+#: are keyed by simulation core (arena-fast batches the IMME daemon).
+_BUILD_RUNS = {
+    "queue-cap": (
+        EnvKind.IMME, MiB(32),
+        ServiceSpec(rate=20.0, max_arrivals=60, window=5.0, warmup="none",
+                    admission="queue-cap", queue_cap=3, classes=_MIX),
+        4,
+        dict(offered=60, admitted=35, rejected=25, completed=35,
+             window_admitted=35, window_rejected=25,
+             latency={"DC": 4, "DM": 31}),
+        {"arena": (121.81613290111417, {"DC": 119.50195190002013, "DM": 41.70593357769275}),
+         "arena-fast": (121.9339529375363, {"DC": 119.48728342837826, "DM": 38.133740825895494})},
+    ),
+    "accept-all": (
+        EnvKind.IMME, MiB(32),
+        ServiceSpec(rate=0.5, max_arrivals=8, window=10.0, warmup="none",
+                    classes=_MIX),
+        3,
+        dict(offered=8, admitted=8, rejected=0, completed=8,
+             window_admitted=8, window_rejected=0,
+             latency={"DC": 2, "DM": 6}),
+        {"arena": (127.5993900028094, {"DC": 112.68559337430011, "DM": 16.953153886689485}),
+         "arena-fast": (126.29043869490178, {"DC": 111.47234829832908, "DM": 16.953153886689485})},
+    ),
+    "memory-headroom": (
+        EnvKind.CBE, MiB(8),
+        ServiceSpec(rate=2.0, max_arrivals=30, window=50.0, warmup="none",
+                    admission="memory-headroom", headroom=1.0, classes=_MIX),
+        6,
+        dict(offered=30, admitted=9, rejected=21, completed=9,
+             window_admitted=9, window_rejected=21,
+             latency={"DM": 9}),
+        {"arena": (694.6424931231454, {"DM": 668.4036759484828}),
+         "arena-fast": (694.6424931231454, {"DM": 668.4036759484828})},
+    ),
+}
+
+
+class TestAdmitBeforeBuild:
+    def _run(self, monkeypatch, policy):
+        from repro import obs
+        from repro.core.arena import resolve_backend
+
+        builds = []
+        real = TaskStream.task
+
+        def counted(stream, index, override=None):
+            builds.append(index)
+            return real(stream, index, override)
+
+        monkeypatch.setattr(TaskStream, "task", counted)
+        kind, dram, spec, seed, pinned, floats = _BUILD_RUNS[policy]
+        env = make_environment(kind, n_nodes=1, dram_capacity=dram, chunk_size=CHUNK)
+        tel = obs.Telemetry("admit-before-build")
+        try:
+            with obs.session(tel):
+                rep = serve(env, spec, scale=TINY, seed=seed)
+            sched_rejected = env.scheduler.rejected
+        finally:
+            env.stop()
+
+        # the report is the one the build-then-admit path produced
+        assert dict(
+            offered=rep.offered, admitted=rep.admitted, rejected=rep.rejected,
+            completed=rep.completed,
+            window_admitted=sum(w.admitted for w in rep.windows),
+            window_rejected=sum(w.rejected for w in rep.windows),
+            latency={cl.wclass: cl.count for cl in rep.class_latency},
+        ) == pinned
+        assert rep.failed == 0
+        duration, p95 = floats[resolve_backend()]
+        assert rep.duration == duration
+        assert {cl.wclass: cl.p95 for cl in rep.class_latency} == p95
+        # rejection bookkeeping agrees across scheduler, windows, telemetry
+        counters = tel.snapshot().counters
+        assert sched_rejected == rep.rejected
+        assert counters.get("sched.rejected", 0) == rep.rejected
+        assert counters["service.rejected"] == rep.rejected
+        return rep, builds
+
+    def test_queue_cap_builds_only_admitted_arrivals(self, monkeypatch):
+        rep, builds = self._run(monkeypatch, "queue-cap")
+        assert rep.rejected > 0
+        assert len(builds) == rep.admitted
+
+    def test_accept_all_builds_each_arrival(self, monkeypatch):
+        rep, builds = self._run(monkeypatch, "accept-all")
+        assert len(builds) == rep.offered == rep.admitted
+        assert sorted(builds) == list(range(rep.offered))
+
+    def test_memory_headroom_builds_each_arrival_once(self, monkeypatch):
+        rep, builds = self._run(monkeypatch, "memory-headroom")
+        assert 0 < rep.rejected < rep.offered
+        # the gate reads every arrival's footprint; admitted ones are not
+        # rebuilt for submission
+        assert sorted(builds) == list(range(rep.offered))
 
 
 # --------------------------------------------------------------------------- #

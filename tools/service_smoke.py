@@ -2,11 +2,19 @@
 """Service-mode smoke check for CI.
 
 Runs one registered steady-state service scenario under the active
-``$REPRO_CORE`` backend and validates the report *schema*: every field a
-downstream consumer (CLI table, experiment series, cache codec) reads
-must be present, typed, and internally consistent, and the run must have
-actually admitted and completed work.  Exit 0 on success, 1 with a
-diagnostic otherwise.
+``$REPRO_CORE`` backend, once per admission policy, and validates each
+report's *schema*: every field a downstream consumer (CLI table,
+experiment series, cache codec) reads must be present, typed, and
+internally consistent, and every run must have actually admitted and
+completed work.  The legs:
+
+* the scenario as registered (``accept-all`` for the catalogue's);
+* ``queue-cap`` with a cap of 2 at ten times the registered rate — the
+  registered rates never leave a job queued, so only an overloaded
+  stream exercises the shed path — which must reject arrivals;
+* ``memory-headroom`` at headroom 1.0.
+
+Exit 0 on success, 1 with a diagnostic otherwise.
 
 Usage::
 
@@ -15,13 +23,14 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
 from repro.cache.codec import decode, encode
 from repro.scenarios import run_service
 from repro.scenarios.registry import scenario
-from repro.service import ClassLatency, ServiceReport, WindowRecord
+from repro.service import ClassLatency, ServiceReport, ServiceSpec, WindowRecord
 
 DEFAULT = "ext-steady-state/IMME:0.10"
 
@@ -66,23 +75,42 @@ def validate(report: ServiceReport) -> list:
     return f
 
 
+def admission_legs(service: ServiceSpec) -> list:
+    """``(label, service spec)`` per admission policy the smoke runs."""
+    return [
+        (service.admission, service),
+        ("queue-cap", dataclasses.replace(
+            service, admission="queue-cap", queue_cap=2, rate=10 * service.rate)),
+        ("memory-headroom", dataclasses.replace(
+            service, admission="memory-headroom", headroom=1.0)),
+    ]
+
+
 def main(argv: list) -> int:
     name = argv[1] if len(argv) > 1 else DEFAULT
     spec = scenario(name)
     if spec.service is None:
         print(f"FAIL: scenario {name!r} has no service section")
         return 1
-    report = run_service(spec)
-    failures = validate(report)
-    print(report.to_table())
-    if failures:
-        print(f"\nFAIL: {len(failures)} schema violations in {name}:")
-        for what in failures:
-            print(f"  - {what}")
-        return 1
-    print(f"\nOK: {name} report schema valid "
-          f"(admitted={report.admitted}, completed={report.completed})")
-    return 0
+    failed = 0
+    for label, service in admission_legs(spec.service):
+        report = run_service(dataclasses.replace(spec, service=service))
+        failures = validate(report)
+        if label == "queue-cap":
+            check(report.rejected > 0,
+                  f"queue-cap sheds arrivals (rejected {report.rejected})", failures)
+        print(f"== {name} [{label}]")
+        print(report.to_table())
+        if failures:
+            failed += 1
+            print(f"\nFAIL: {len(failures)} schema violations in {name} [{label}]:")
+            for what in failures:
+                print(f"  - {what}")
+            continue
+        print(f"\nOK: {name} [{label}] report schema valid "
+              f"(admitted={report.admitted}, rejected={report.rejected}, "
+              f"completed={report.completed})\n")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
